@@ -3,8 +3,11 @@
 // versus naively recomputing both structures from scratch after every
 // event, on scale-free churn workloads of N = 10k / 100k nodes. The
 // acceptance bar is a >= 10x advantage for the incremental path at 100k.
+// Also prices the temporal view's contact fold on its own (the
+// temporal_view_fold row).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <iostream>
 #include <unordered_set>
@@ -18,6 +21,7 @@
 #include "mobility/contact_trace.hpp"
 #include "mobility/edge_markovian.hpp"
 #include "mobility/mobility_models.hpp"
+#include "mobility/social_contacts.hpp"
 #include "parallel/parallel.hpp"
 #include "stream/engine.hpp"
 #include "stream/observers.hpp"
@@ -187,6 +191,62 @@ void replay_throughput_table() {
   t.print(std::cout, "Trace replay throughput through the observer stack");
 }
 
+void view_fold_table() {
+  // ns per contact event folded into a TemporalViewObserver, on a
+  // 2,000-person social-feature trace streamed in time order (the shape
+  // the end-to-end pipeline benchmark ingests). The events go through an
+  // engine once, untimed, so the view's log-replay rebuild (recompute)
+  // can check every timed fold: results_match = view == rebuild.
+  Rng rng(2017);
+  SocialTraceParams params;
+  params.people = 2000;
+  params.horizon = 200;
+  params.base_rate = 0.004;
+  const auto profiles = random_profiles(params.people, params.radices, rng);
+  const TemporalGraph trace = social_contact_trace(params, profiles, rng);
+  const std::vector<Event> events = contact_events(trace);
+  StreamEngine engine{DynamicGraph(params.people)};
+  engine.apply_batch(events);
+  TemporalViewObserver rebuilt(params.people, params.horizon);
+  rebuilt.recompute(engine.graph());
+
+  const EventEffect effect{};
+  constexpr std::size_t kReps = 5;
+  std::vector<double> ns(kReps);
+  bool match = rebuilt.view().contacts().size() == events.size();
+  for (double& rep : ns) {
+    TemporalViewObserver view(params.people, params.horizon);
+    rep = time_ns_per_op(1, [&](std::size_t) {
+            for (const Event& e : events) {
+              view.on_event(engine.graph(), e, effect);
+            }
+          }) /
+          static_cast<double>(events.size());
+    match = match && view.view() == rebuilt.view();
+  }
+  std::sort(ns.begin(), ns.end());
+  const double median = ns[kReps / 2];
+
+  Table t({"n", "events", "edges", "ns_per_event", "min", "max", "match"});
+  t.add_row({Table::num(std::uint64_t(params.people)),
+             Table::num(std::uint64_t(events.size())),
+             Table::num(std::uint64_t(rebuilt.view().edge_count())),
+             Table::num(median, 1), Table::num(ns.front(), 1),
+             Table::num(ns.back(), 1), match ? "yes" : "no"});
+  t.print(std::cout, "Temporal view fold: contact events into the view "
+                     "(median of 5 runs)");
+  BenchJson("temporal_view_fold")
+      .field("n", std::uint64_t(params.people))
+      .field("events", std::uint64_t(events.size()))
+      .field("ns_per_op", median)
+      .field("ns_min", ns.front())
+      .field("ns_max", ns.back())
+      .field("reps", std::uint64_t(kReps))
+      .field("results_match", match ? "yes" : "no")
+      .threads(1)
+      .emit();
+}
+
 void BM_StreamApplyNoObservers(benchmark::State& state) {
   Rng rng(5);
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -225,6 +285,7 @@ BENCHMARK(BM_StreamApplyCoreMis)->Range(1 << 10, 1 << 14);
 int main(int argc, char** argv) {
   structnet::incremental_vs_naive_table();
   structnet::replay_throughput_table();
+  structnet::view_fold_table();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   structnet::obs::emit_json(std::cout);

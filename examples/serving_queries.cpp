@@ -57,7 +57,10 @@ int main() {
   std::cout << "temporal distances from node 0 (epoch " << d.epoch << "): "
             << std::get<std::vector<TimeUnit>>(d.payload).size()
             << " entries\n";
-  if (const auto& j = std::get<std::optional<Journey>>(journey.get().payload)) {
+  // Keep the result alive: a reference into a temporary's payload would
+  // dangle past this statement's initializer.
+  const QueryResult jr = journey.get();
+  if (const auto& j = std::get<std::optional<Journey>>(jr.payload)) {
     std::cout << "fastest journey 0 -> 42: " << j->hop_count()
               << " hops, span " << j->span() << "\n";
   } else {

@@ -21,13 +21,13 @@ if [[ "${SKIP_SANITIZE:-0}" != "1" ]]; then
   cmake -B build-asan -S . -DSTRUCTNET_SANITIZE=ON >/dev/null
   cmake --build build-asan -j"$jobs"
   ctest --test-dir build-asan --output-on-failure -j"$jobs" \
-    -R 'DynamicGraph|StreamEngine|StreamChurn|CoreObserver|MisObserver|TemporalViewObserver|TemporalDelta|DeltaCsrObserver|MultiSource|Replay|FaultPlan|FaultRouting|Checkpoint|CheckpointFile|CrashRecovery|Wal|WalCrashMatrix|Percolation|ResultCache|QueryBroker|ServeChurn|ServeStats|LatencyHistogram|HealthMonitor|ObsCounter|ObsGauge|ObsHistogram|ObsQuantile|ObsRegistry|ObsTrace'
+    -R 'DynamicGraph|StreamEngine|StreamChurn|CoreObserver|MisObserver|TemporalViewObserver|TemporalViewReplay|TemporalGraphIndex|TemporalDelta|DeltaCsrObserver|MultiSource|Replay|FaultPlan|FaultRouting|Checkpoint|CheckpointFile|CrashRecovery|Wal|WalCrashMatrix|Percolation|ResultCache|QueryBroker|ServeChurn|ServeStats|LatencyHistogram|HealthMonitor|ObsCounter|ObsGauge|ObsHistogram|ObsQuantile|ObsRegistry|ObsTrace'
 
   echo "== sanitizer pass (TSan): parallel + stream + serve + obs tests =="
   cmake -B build-tsan -S . -DSTRUCTNET_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j"$jobs"
   ctest --test-dir build-tsan --output-on-failure -j"$jobs" \
-    -R 'ThreadPool|Parallel|DynamicGraph|StreamEngine|StreamChurn|TemporalDelta|DeltaCsrObserver|MultiSource|FaultRouting|Wal|QueryBroker|ServeChurn|HealthMonitor|ObsCounter|ObsRegistry|ObsTrace'
+    -R 'ThreadPool|Parallel|DynamicGraph|StreamEngine|StreamChurn|TemporalViewReplay|TemporalGraphIndex|TemporalDelta|DeltaCsrObserver|MultiSource|FaultRouting|Wal|QueryBroker|ServeChurn|HealthMonitor|ObsCounter|ObsRegistry|ObsTrace'
 fi
 
 if [[ "${SKIP_OBS_OFF:-0}" != "1" ]]; then
@@ -35,7 +35,7 @@ if [[ "${SKIP_OBS_OFF:-0}" != "1" ]]; then
   cmake -B build-obs-off -S . -DSTRUCTNET_OBS=OFF >/dev/null
   cmake --build build-obs-off -j"$jobs"
   ctest --test-dir build-obs-off --output-on-failure -j"$jobs" \
-    -R 'ResultCache|QueryBroker|ServeChurn|ServeStats|LatencyHistogram|HealthMonitor|Wal|WalCrashMatrix|CheckpointFile|TemporalDelta|DeltaCsrObserver|MultiSource|ObsCounter|ObsGauge|ObsHistogram|ObsQuantile|ObsRegistry'
+    -R 'ResultCache|QueryBroker|ServeChurn|ServeStats|LatencyHistogram|HealthMonitor|Wal|WalCrashMatrix|CheckpointFile|TemporalViewReplay|TemporalGraphIndex|TemporalDelta|DeltaCsrObserver|MultiSource|ObsCounter|ObsGauge|ObsHistogram|ObsQuantile|ObsRegistry'
 fi
 
 if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
@@ -43,7 +43,7 @@ if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
   cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
   cmake --build build-bench -j"$jobs" \
     --target bench_temporal_paths bench_small_world bench_faults bench_serve \
-             bench_multi_source
+             bench_multi_source bench_stream
   # The '^$'-style no-match filter skips the registered google-benchmark
   # loops but still runs each binary's experiment tables, which is where
   # the machine-readable JSON lines come from.
@@ -55,7 +55,7 @@ if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
   # validation below sees their lines.
   bench_out="$(mktemp -d)"
   for b in bench_temporal_paths bench_small_world bench_faults bench_serve \
-           bench_multi_source; do
+           bench_multi_source bench_stream; do
     extra=()
     [[ "$b" == bench_faults ]] && extra=(--smoke)
     ./build-bench/bench/"$b" "${extra[@]}" \
@@ -209,6 +209,26 @@ if saved != sorted(saved) or saved[0] == saved[-1]:
 print("multi-source gate: smoke %.1fx, 20k %.1fx, serve saves %s sweeps"
       % (sweeps["smoke"]["speedup_vs_scalar"],
          sweeps["allpairs20k"]["speedup_vs_scalar"], saved))
+PYEOF
+  echo "== view fold gate: temporal view equals its log-replay rebuild =="
+  # bench_stream's temporal_view_fold row folds a 2,000-person
+  # social-feature trace into a TemporalViewObserver (5 timed runs) and
+  # compares each result with recompute() replaying the engine's log.
+  python3 - "$bench_out/bench_stream.out" <<'PYEOF'
+import json, sys
+
+with open(sys.argv[1]) as f:
+    rows = [json.loads(l) for l in f if l.strip().startswith("{")]
+fold = [r for r in rows if r.get("bench") == "temporal_view_fold"]
+if not fold:
+    sys.exit("view fold gate: no temporal_view_fold record")
+r = fold[0]
+if r["results_match"] != "yes":
+    sys.exit("view fold gate: folded view diverged from the log replay")
+if r["events"] == 0 or r["ns_per_op"] <= 0:
+    sys.exit("view fold gate: degenerate row: %s" % r)
+print("view fold gate: %d events at %.0f ns/event (min %.0f, max %.0f)"
+      % (r["events"], r["ns_per_op"], r["ns_min"], r["ns_max"]))
 PYEOF
   rm -rf "$bench_out"
 

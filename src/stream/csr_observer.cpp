@@ -62,9 +62,8 @@ void DeltaCsrObserver::on_event(const DynamicGraph&, const Event& event,
       break;
     }
     case EventKind::kNodeJoin:
-      // The view rebases itself off its contact log in first-touch
-      // order, which preserves every existing edge id — so the delta
-      // only needs the wider vertex space.
+      // The view only widens its vertex space too (no edge record is
+      // touched), so every existing edge id stays valid.
       index_.grow_vertices(effect.vertex + std::size_t{1});
       break;
     case EventKind::kNodeLeave:

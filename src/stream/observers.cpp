@@ -1,7 +1,7 @@
 #include "stream/observers.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <numeric>
 
 #include "layering/nsf.hpp"
 
@@ -211,63 +211,45 @@ void SafetyLevelObserver::on_event(const DynamicGraph& g, const Event& event,
 
 // ------------------------------------------------------------ temporal
 
-TemporalViewObserver::TemporalViewObserver(std::size_t n, TimeUnit horizon)
-    : view_(n, horizon) {
-  priority_.resize(n);
-  for (std::size_t v = 0; v < n; ++v) priority_[v] = static_cast<double>(v);
-}
-
 void TemporalViewObserver::recompute(const DynamicGraph& g) {
-  const std::size_t n = std::max(view_.vertex_count(), g.vertex_count());
-  view_ = TemporalGraph::from_contacts(n, view_.horizon(), log_);
-  priority_.resize(n);
-  for (std::size_t v = 0; v < n; ++v) priority_[v] = static_cast<double>(v);
+  view_ = TemporalGraph(std::max(view_.vertex_count(), g.vertex_count()),
+                        view_.horizon());
+  out_of_horizon_ = 0;
+  // A logged NodeJoin carries the id it received in `u`.
+  for (const Event& event : g.log()) fold(event, event.u);
   trim_cache_.reset();
 }
 
-void TemporalViewObserver::on_event(const DynamicGraph& g, const Event& event,
+void TemporalViewObserver::on_event(const DynamicGraph&, const Event& event,
                                     const EventEffect& effect) {
+  fold(event, effect.vertex);
+}
+
+void TemporalViewObserver::fold(const Event& event, VertexId joined) {
   switch (event.kind) {
     case EventKind::kContactAdd:
       if (event.time >= view_.horizon()) {
         ++out_of_horizon_;
         return;
       }
-      if (view_.has_contact(event.u, event.v, event.time)) return;
-      view_.add_contact(event.u, event.v, event.time);
-      log_.push_back(Contact{event.u, event.v, event.time});
-      trim_cache_.reset();
+      if (view_.add_contact(event.u, event.v, event.time)) trim_cache_.reset();
       break;
     case EventKind::kContactRelabel: {
       if (event.new_time >= view_.horizon()) {
         ++out_of_horizon_;  // rejected: relabeling out of the horizon
         return;
       }
-      if (!view_.remove_label(event.u, event.v, event.time)) {
-        // The old contact never existed: degrade to a plain add.
-        on_event(g, Event::contact_add(event.u, event.v, event.new_time),
-                 effect);
-        return;
+      // A missing old contact degrades the relabel to a plain add. The
+      // edge record outlives the removal, so the edge keeps its id.
+      const bool moved = view_.remove_label(event.u, event.v, event.time);
+      if (view_.add_contact(event.u, event.v, event.new_time) || moved) {
+        trim_cache_.reset();
       }
-      view_.add_contact(event.u, event.v, event.new_time);
-      // Replace the log entry in place so a from-scratch rebuild creates
-      // edge records in the same first-touch order as the incremental
-      // path (which keeps the edge record alive across the relabel).
-      const auto it = std::find(log_.begin(), log_.end(),
-                                Contact{event.u, event.v, event.time});
-      const auto rit = std::find(log_.begin(), log_.end(),
-                                 Contact{event.v, event.u, event.time});
-      assert(it != log_.end() || rit != log_.end());
-      (it != log_.end() ? *it : *rit).t = event.new_time;
-      trim_cache_.reset();
       break;
     }
     case EventKind::kNodeJoin:
-      if (effect.vertex >= view_.vertex_count()) {
-        // Growing the id space re-bases the view off the contact log.
-        view_ = TemporalGraph::from_contacts(effect.vertex + std::size_t{1},
-                                             view_.horizon(), log_);
-        priority_.push_back(static_cast<double>(effect.vertex));
+      if (joined >= view_.vertex_count()) {
+        view_.grow_vertices(joined + std::size_t{1});
         trim_cache_.reset();
       }
       break;
@@ -282,7 +264,11 @@ void TemporalViewObserver::on_event(const DynamicGraph& g, const Event& event,
 }
 
 const TrimResult& TemporalViewObserver::trimmed() const {
-  if (!trim_cache_) trim_cache_ = trim_nodes(view_, priority_);
+  if (!trim_cache_) {
+    std::vector<double> priority(view_.vertex_count());
+    std::iota(priority.begin(), priority.end(), 0.0);
+    trim_cache_ = trim_nodes(view_, priority);
+  }
   return *trim_cache_;
 }
 

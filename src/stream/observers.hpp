@@ -11,8 +11,9 @@
 //  * SafetyLevelObserver— labeling/safety_levels.hpp on a hypercube id
 //                         space: NodeLeave = fault (localized downward
 //                         wave), NodeJoin = recovery (restabilization).
-//  * TemporalViewObserver — appends contacts into a
-//                         temporal/temporal_graph.hpp view and lazily
+//  * TemporalViewObserver — folds contacts into a
+//                         temporal/temporal_graph.hpp view (rebuilt by
+//                         replaying the engine's log) and lazily
 //                         invalidates a cached trimmed view.
 //
 // Every observer's recompute() rebuilds from scratch and lands in the
@@ -115,21 +116,28 @@ class SafetyLevelObserver : public StreamObserver {
   std::uint64_t work_ = 0;
 };
 
-/// Appends contact events into a TemporalGraph and keeps a lazily
+/// Folds contact events into a TemporalGraph and keeps a lazily
 /// recomputed trimmed view (trimming/eg_trimming.hpp): any mutation
 /// invalidates the cache; trimmed() rebuilds it on the next read.
+///
+/// The view keeps no contact log of its own: the engine's
+/// DynamicGraph::log() already holds every accepted event, and
+/// recompute() rebuilds by replaying it through the same fold. So a
+/// view attached to an engine that already has history adopts that
+/// history on attach, as CoreObserver does.
 class TemporalViewObserver : public StreamObserver {
  public:
-  TemporalViewObserver(std::size_t n, TimeUnit horizon);
+  TemporalViewObserver(std::size_t n, TimeUnit horizon) : view_(n, horizon) {}
 
   std::string_view name() const override { return "temporal"; }
   void on_event(const DynamicGraph& g, const Event& event,
                 const EventEffect& effect) override;
-  /// Rebuilds the view from the accumulated contact log.
+  /// Rebuilds the view by replaying g.log() through the fold on_event
+  /// applies, so the rebuild equals the incremental view, edge ids
+  /// included.
   void recompute(const DynamicGraph& g) override;
 
   const TemporalGraph& view() const { return view_; }
-  const std::vector<Contact>& contact_log() const { return log_; }
   /// Contacts whose time fell outside the horizon (dropped, counted).
   std::uint64_t out_of_horizon() const { return out_of_horizon_; }
 
@@ -139,9 +147,11 @@ class TemporalViewObserver : public StreamObserver {
   bool trim_cache_valid() const { return trim_cache_.has_value(); }
 
  private:
+  /// Applies one accepted event to the view; `joined` is the id a
+  /// NodeJoin received.
+  void fold(const Event& event, VertexId joined);
+
   TemporalGraph view_;
-  std::vector<Contact> log_;
-  std::vector<double> priority_;
   std::uint64_t out_of_horizon_ = 0;
   mutable std::optional<TrimResult> trim_cache_;
 };

@@ -231,7 +231,8 @@ class DeltaTemporalCsr {
     std::vector<TimeUnit> removed;  // sorted; subset of base labels
   };
 
-  /// Flat linear-probe hash map from packed endpoint key to edge id —
+  /// Flat linear-probe hash map from packed endpoint key to edge id
+  /// (endpoint_key / endpoint_bucket, as TemporalGraph's edge index) —
   /// the fold hot path resolves one of these per event, so it must be a
   /// single contiguous probe, not a node-based chain. Append-only
   /// between rebases (edge records are never deleted), so probes never
@@ -281,7 +282,7 @@ class DeltaTemporalCsr {
 
    private:
     std::size_t bucket(std::uint64_t key) const {
-      return static_cast<std::size_t>(key * 0x9E3779B97F4A7C15ull) & mask_;
+      return endpoint_bucket(key, mask_);
     }
     Slot& place(std::uint64_t key, EdgeId id, EdgeId dslot,
                 std::uint64_t bloom) {
@@ -304,10 +305,6 @@ class DeltaTemporalCsr {
     std::size_t size_ = 0;
   };
 
-  static std::uint64_t endpoint_key(VertexId u, VertexId v) {
-    const VertexId lo = u < v ? u : v, hi = u < v ? v : u;
-    return (static_cast<std::uint64_t>(lo) << 32) | hi;
-  }
   EdgeIdMap::Slot& find_or_create_edge(VertexId u, VertexId v);
   /// The edge's delta record, created (empty) on first touch; keeps the
   /// map entry and the kernel-side edge_slot_ array in sync.

@@ -5,7 +5,7 @@
 
 namespace structnet {
 
-void TemporalGraph::add_contact(VertexId u, VertexId v, TimeUnit t) {
+bool TemporalGraph::add_contact(VertexId u, VertexId v, TimeUnit t) {
   assert(u < vertex_count() && v < vertex_count() && u != v);
   assert(t < horizon_);
   EdgeId e = find_edge(u, v);
@@ -14,10 +14,29 @@ void TemporalGraph::add_contact(VertexId u, VertexId v, TimeUnit t) {
     edges_.push_back(LabeledEdge{u, v, {}});
     incident_[u].push_back(e);
     incident_[v].push_back(e);
+    index_edge(e);
   }
   auto& labels = edges_[e].labels;
   const auto it = std::lower_bound(labels.begin(), labels.end(), t);
-  if (it == labels.end() || *it != t) labels.insert(it, t);
+  if (it != labels.end() && *it == t) return false;
+  labels.insert(it, t);
+  return true;
+}
+
+void TemporalGraph::index_edge(EdgeId e) {
+  const auto place = [this](EdgeId id) {
+    const std::size_t mask = edge_index_.size() - 1;
+    std::size_t i =
+        endpoint_bucket(endpoint_key(edges_[id].u, edges_[id].v), mask);
+    while (edge_index_[i] != kInvalidEdge) i = (i + 1) & mask;
+    edge_index_[i] = id;
+  };
+  if (edges_.size() * 2 > edge_index_.size()) {
+    edge_index_.assign(std::max<std::size_t>(16, edge_index_.size() * 2),
+                       kInvalidEdge);
+    for (EdgeId id = 0; id < e; ++id) place(id);
+  }
+  place(e);
 }
 
 void TemporalGraph::add_edge_labels(VertexId u, VertexId v,
@@ -34,13 +53,16 @@ bool TemporalGraph::has_contact(VertexId u, VertexId v, TimeUnit t) const {
 
 EdgeId TemporalGraph::find_edge(VertexId u, VertexId v) const {
   assert(u < vertex_count() && v < vertex_count());
-  const auto& inc =
-      incident_[u].size() <= incident_[v].size() ? incident_[u] : incident_[v];
-  for (EdgeId e : inc) {
-    const LabeledEdge& le = edges_[e];
-    if ((le.u == u && le.v == v) || (le.u == v && le.v == u)) return e;
+  if (edge_index_.empty()) return kInvalidEdge;
+  const std::uint64_t key = endpoint_key(u, v);
+  const std::size_t mask = edge_index_.size() - 1;
+  for (std::size_t i = endpoint_bucket(key, mask);; i = (i + 1) & mask) {
+    const EdgeId e = edge_index_[i];
+    if (e == kInvalidEdge ||
+        endpoint_key(edges_[e].u, edges_[e].v) == key) {
+      return e;
+    }
   }
-  return kInvalidEdge;
 }
 
 Graph TemporalGraph::snapshot(TimeUnit t) const {

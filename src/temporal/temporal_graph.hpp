@@ -5,9 +5,16 @@
 // { i | (u, v) in E_i }. Message transmission over a contact is
 // instantaneous, so a journey is a path whose edge labels are
 // non-decreasing.
+//
+// Edge lookup by endpoints is O(1): a flat linear-probe table of edge
+// ids, keyed by the packed unordered endpoint pair, sits beside the edge
+// records. Edge records are never deleted (remove_label leaves an empty
+// label set), so the table is append-only and probes never cross
+// tombstones.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -15,6 +22,23 @@
 #include "core/types.hpp"
 
 namespace structnet {
+
+/// The unordered endpoint pair (u, v) packed into one key: equal for
+/// (u, v) and (v, u). Shared by every endpoint -> edge id table.
+inline std::uint64_t endpoint_key(VertexId u, VertexId v) {
+  const VertexId lo = u < v ? u : v, hi = u < v ? v : u;
+  return (static_cast<std::uint64_t>(lo) << 32) | hi;
+}
+
+/// Home slot of an endpoint key in a power-of-two table (`mask` =
+/// capacity - 1). Fibonacci hashing, with the product's high half folded
+/// into the low bits the mask keeps: the low bits of a product depend
+/// only on the low bits of the key (the larger endpoint), so masking the
+/// bare product would give every edge of a vertex the same home slot.
+inline std::size_t endpoint_bucket(std::uint64_t key, std::size_t mask) {
+  const std::uint64_t h = key * 0x9E3779B97F4A7C15ull;
+  return static_cast<std::size_t>(h ^ (h >> 32)) & mask;
+}
 
 /// A single contact: edge (u, v) active during time unit `t`.
 struct Contact {
@@ -47,8 +71,9 @@ class TemporalGraph {
   TimeUnit horizon() const { return horizon_; }
 
   /// Registers that (u, v) is active during time unit t (t < horizon).
-  /// Idempotent; keeps label sets sorted.
-  void add_contact(VertexId u, VertexId v, TimeUnit t);
+  /// Idempotent; keeps label sets sorted. Returns false when the
+  /// contact was already present.
+  bool add_contact(VertexId u, VertexId v, TimeUnit t);
 
   /// Adds an edge with a whole label set at once.
   void add_edge_labels(VertexId u, VertexId v, std::span<const TimeUnit> labels);
@@ -70,8 +95,15 @@ class TemporalGraph {
   /// True iff (u, v) is active during time unit t.
   bool has_contact(VertexId u, VertexId v, TimeUnit t) const;
 
-  /// Edge id of (u, v), or kInvalidEdge.
+  /// Edge id of (u, v), or kInvalidEdge. O(1) expected.
   EdgeId find_edge(VertexId u, VertexId v) const;
+
+  /// Extends the vertex space to n (new vertices start contact-free);
+  /// no-op when n is not larger than the current count. Edge ids and
+  /// records are untouched.
+  void grow_vertices(std::size_t n) {
+    if (n > incident_.size()) incident_.resize(n);
+  }
 
   /// Snapshot G_t: the static graph of edges active during time unit t.
   Graph snapshot(TimeUnit t) const;
@@ -107,12 +139,24 @@ class TemporalGraph {
   /// Structural equality (same vertices, horizon, edge records in the
   /// same order with identical label sets). Used by streaming observers
   /// to assert incremental maintenance matches a from-scratch rebuild.
-  friend bool operator==(const TemporalGraph&, const TemporalGraph&) = default;
+  /// The edge index is derived state and never compared.
+  friend bool operator==(const TemporalGraph& a, const TemporalGraph& b) {
+    return a.horizon_ == b.horizon_ && a.incident_ == b.incident_ &&
+           a.edges_ == b.edges_;
+  }
 
  private:
+  /// Enters edge e (already in edges_) into the edge index, doubling the
+  /// table first when the load would pass one half.
+  void index_edge(EdgeId e);
+
   std::vector<std::vector<EdgeId>> incident_;
   std::vector<LabeledEdge> edges_;
   TimeUnit horizon_ = 0;
+  /// Edge index: endpoint_key -> edge id, linear probing over a
+  /// power-of-two table (empty or at load <= 1/2); kInvalidEdge marks an
+  /// empty slot. A hit is confirmed against edges_[id].
+  std::vector<EdgeId> edge_index_;
 };
 
 }  // namespace structnet

@@ -170,7 +170,8 @@ TEST(QueryBrokerTest, EachKindMatchesDirectComputation) {
   }
   for (const auto measure :
        {CentralityMeasure::kDegree, CentralityMeasure::kCloseness,
-        CentralityMeasure::kBetweenness, CentralityMeasure::kClustering}) {
+        CentralityMeasure::kBetweenness, CentralityMeasure::kClustering,
+        CentralityMeasure::kTemporalCloseness}) {
     auto r = run_one(broker, CentralityQuery{measure});
     ASSERT_EQ(r.status, QueryStatus::kOk);
     std::vector<double> expect;
@@ -184,6 +185,9 @@ TEST(QueryBrokerTest, EachKindMatchesDirectComputation) {
         break;
       case CentralityMeasure::kClustering:
         expect = clustering_coefficients(g);
+        break;
+      case CentralityMeasure::kTemporalCloseness:
+        expect = temporal_closeness(tg, 1);
         break;
     }
     EXPECT_EQ(std::get<std::vector<double>>(r.payload), expect);

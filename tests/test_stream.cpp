@@ -222,9 +222,20 @@ TEST(ReplayTest, ContactEventsRebuildTheTemporalView) {
   EXPECT_EQ(stats.accepted, events.size());
   EXPECT_EQ(stats.batches, (events.size() + 31) / 32);
 
-  const TemporalGraph rebuilt = TemporalGraph::from_contacts(
-      mob.nodes, static_cast<TimeUnit>(mob.steps), view.contact_log());
-  EXPECT_EQ(view.view(), rebuilt);
+  // The incremental view equals a rebuild that replays the engine's log,
+  // and an independent from_contacts build over the logged contacts.
+  TemporalViewObserver rebuilt(mob.nodes, static_cast<TimeUnit>(mob.steps));
+  rebuilt.recompute(engine.graph());
+  EXPECT_EQ(view.view(), rebuilt.view());
+  EXPECT_EQ(view.out_of_horizon(), 0u);
+  std::vector<Contact> logged;
+  for (const Event& e : engine.graph().log()) {
+    ASSERT_EQ(e.kind, EventKind::kContactAdd);
+    logged.push_back(Contact{e.u, e.v, e.time});
+  }
+  EXPECT_EQ(view.view(),
+            TemporalGraph::from_contacts(
+                mob.nodes, static_cast<TimeUnit>(mob.steps), logged));
   // Same multiset of contacts as the offline extraction.
   auto offline = contacts_from_trajectory(trajectory, 0.2).contacts();
   auto streamed = view.view().contacts();

@@ -2,7 +2,8 @@
 // a fresh TemporalCsr rebuilt from the TemporalViewObserver's graph,
 // under randomized engine churn (contact adds incl. out-of-horizon,
 // relabels with and without a live old label, node joins growing the
-// vertex space, leave/edge noise), across compaction boundaries.
+// vertex space, leave/edge noise), across compaction boundaries; and the
+// view itself rebuilt from the engine's log (late attach, fresh joins).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -165,6 +166,114 @@ TEST(DeltaCsrObserver, CountersTrackFoldsAndCompactions) {
   EXPECT_EQ(snap.counter_value("serve.csr_builds"), delta.builds());
   engine.detach(&delta);
   engine.detach(&view);
+}
+
+// One random contact-heavy event over the engine's current vertices:
+// adds (some out of horizon), relabels, joins, leaves and edge noise.
+Event random_view_event(const StreamEngine& engine, TimeUnit horizon,
+                        Rng& rng) {
+  const std::size_t n = engine.graph().vertex_count();
+  const auto u = static_cast<VertexId>(rng.index(n));
+  auto v = static_cast<VertexId>(rng.index(n));
+  if (u == v) v = static_cast<VertexId>((v + 1) % n);
+  const auto t = static_cast<TimeUnit>(rng.index(horizon + 2));
+  const auto t2 = static_cast<TimeUnit>(rng.index(horizon + 2));
+  switch (rng.index(12)) {
+    case 0:
+    case 1:
+      return Event::contact_relabel(u, v, t, t2);
+    case 2:
+      return Event::edge_insert(u, v);
+    case 3:
+      return engine.graph().alive(u) ? Event::node_leave(u)
+                                     : Event::node_join(u);
+    case 4:
+      return n < 24 ? Event::node_join() : Event::node_join(u);
+    default:
+      return Event::contact_add(u, v, t);
+  }
+}
+
+TEST(TemporalViewReplay, FreshNodeJoinKeepsEveryEdgeId) {
+  // A fresh NodeJoin only widens the view: every edge record keeps its
+  // id and labels, so the delta index (which only widens too) stays
+  // bit-identical to a TemporalCsr of the view, with no rebase.
+  constexpr std::size_t kN = 8;
+  constexpr TimeUnit kHorizon = 10;
+  StreamEngine engine{DynamicGraph(kN)};
+  TemporalViewObserver view(kN, kHorizon);
+  DeltaCsrObserver delta(view);
+  engine.attach(&view);
+  engine.attach(&delta);
+
+  Rng rng(31);
+  for (int round = 0; round < 6; ++round) {
+    for (int i = 0; i < 40; ++i) {
+      const std::size_t n = engine.graph().vertex_count();
+      const auto u = static_cast<VertexId>(rng.index(n));
+      const auto v = static_cast<VertexId>((u + 1 + rng.index(n - 1)) % n);
+      const auto t = static_cast<TimeUnit>(rng.index(kHorizon));
+      engine.apply(rng.bernoulli(0.8)
+                       ? Event::contact_add(u, v, t)
+                       : Event::contact_relabel(
+                             u, v, t,
+                             static_cast<TimeUnit>(rng.index(kHorizon))));
+    }
+    const std::vector<TemporalGraph::LabeledEdge> before(
+        view.view().edges().begin(), view.view().edges().end());
+    const std::size_t n = view.view().vertex_count();
+    ASSERT_TRUE(engine.apply(Event::node_join()));
+    ASSERT_EQ(view.view().vertex_count(), n + 1);
+    ASSERT_EQ(view.view().edge_count(), before.size());
+    for (EdgeId e = 0; e < before.size(); ++e) {
+      ASSERT_EQ(view.view().edge(e), before[e]) << "round " << round;
+    }
+    expect_index_equals_view(delta, view.view());
+    // The newcomer meets old vertices; its edges take the next ids.
+    const auto fresh = static_cast<VertexId>(n);
+    ASSERT_TRUE(engine.apply(Event::contact_add(fresh, 0, 1)));
+    ASSERT_TRUE(engine.apply(Event::contact_add(1, fresh, 2)));
+    EXPECT_EQ(view.view().find_edge(0, fresh), EdgeId(before.size()));
+    expect_index_equals_view(delta, view.view());
+  }
+  EXPECT_EQ(delta.builds(), 1u);  // the attach-time build only
+  TemporalViewObserver rebuilt(kN, kHorizon);
+  rebuilt.recompute(engine.graph());
+  EXPECT_EQ(rebuilt.view(), view.view());
+  engine.detach(&delta);
+  engine.detach(&view);
+}
+
+TEST(TemporalViewReplay, LateAttachedViewEqualsEpochZeroView) {
+  // A view attached to an engine with history adopts that history from
+  // the engine's log, and then tracks it exactly like a view that was
+  // there from epoch 0 — edge ids, out-of-horizon count and trimming.
+  constexpr std::size_t kN = 12;
+  constexpr TimeUnit kHorizon = 9;
+  StreamEngine engine{DynamicGraph(kN)};
+  TemporalViewObserver early(kN, kHorizon);
+  engine.attach(&early);
+  Rng rng(77);
+  for (int i = 0; i < 500; ++i) {
+    engine.apply(random_view_event(engine, kHorizon, rng));
+  }
+  ASSERT_GT(engine.graph().vertex_count(), kN);  // fresh joins happened
+
+  TemporalViewObserver late(kN, kHorizon);
+  engine.attach(&late);
+  EXPECT_EQ(late.view(), early.view());
+  EXPECT_EQ(late.out_of_horizon(), early.out_of_horizon());
+  for (int i = 0; i < 500; ++i) {
+    engine.apply(random_view_event(engine, kHorizon, rng));
+  }
+  EXPECT_EQ(late.view(), early.view());
+  EXPECT_GT(early.out_of_horizon(), 0u);
+  EXPECT_EQ(late.out_of_horizon(), early.out_of_horizon());
+  EXPECT_GT(early.view().edge_count(), 0u);
+  EXPECT_EQ(late.trimmed().trimmed, early.trimmed().trimmed);
+  EXPECT_EQ(late.trimmed().removed_nodes, early.trimmed().removed_nodes);
+  engine.detach(&late);
+  engine.detach(&early);
 }
 
 }  // namespace
